@@ -160,18 +160,14 @@ def measure_overhead(scale: float = SCALE, runs: int = RUNS) -> dict:
     manager = IndexManager.from_graph(graph)
     lines = _request_lines(graph, max(500, int(2000 * scale)))
 
-    # no coalescing window: the 500 µs batching timer would dominate
-    # (and jitter) every lap, hiding exactly the ns-scale checks this
-    # gate is about
-    options = {"max_wait_us": 0}
     passes = max(9, 3 * runs)
     chunks = [lines[i:i + 100] for i in range(0, len(lines), 100)]
     hooked_passes: list[float] = []
     control_passes: list[float] = []
 
     async def run() -> None:
-        hooked = ReachabilityService(manager, **options)  # hooks off
-        control = _ControlService(manager, **options)
+        hooked = ReachabilityService(manager)  # hooks off
+        control = _ControlService(manager)
         await hooked.batcher.start()
         await control.batcher.start()
         try:

@@ -301,6 +301,8 @@ def run_serve_smoke(scale: float = 1.0, workers: int = 0) -> str:
         ("bulk query_batch queries/sec", f"{result['bulk_qps']:,.0f}"),
         ("micro-batching speedup",
          f"{result['batching_speedup']:.2f}x"),
+        ("concurrent-phase mean batch",
+         f"{result['concurrent_mean_batch']:.1f}"),
         ("mean batch size", f"{result['mean_batch_size']:.1f}"),
         ("largest batch", f"{result['largest_batch']}"),
         ("cache hit rate", f"{100 * result['cache_hit_rate']:.1f}%"),

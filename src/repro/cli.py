@@ -410,8 +410,8 @@ def _cmd_serve(args) -> int:
         OBS.enable()
     service = ReachabilityService(
         manager, host=args.host, port=args.port,
-        max_batch=args.max_batch, max_wait_us=args.max_wait_us,
-        max_pending=args.max_pending, cache_size=args.cache_size,
+        max_batch=args.max_batch, max_pending=args.max_pending,
+        cache_size=args.cache_size,
         request_timeout=args.request_timeout,
         metrics_port=args.metrics_port,
         log=args.log, slow_query_ms=args.slow_query_ms,
@@ -420,6 +420,12 @@ def _cmd_serve(args) -> int:
 
     async def run() -> None:
         host, port = await service.start()
+        # orchestrators stop with SIGTERM: cancel this task, the path
+        # Ctrl-C takes under asyncio.run, so the drain (which flushes
+        # the capture journal) starts between callbacks, never inside
+        # one
+        asyncio.get_running_loop().add_signal_handler(
+            signal.SIGTERM, asyncio.current_task().cancel)
         print(f"serving {label} on {host}:{port} "
               f"(engine {manager.stats()['engine']}, "
               f"epoch {manager.epoch}, writable={manager.writable})",
@@ -446,12 +452,6 @@ def _cmd_serve(args) -> int:
         finally:
             await service.shutdown()
 
-    def _terminate(signum, frame):
-        # orchestrators stop with SIGTERM; drain exactly like Ctrl-C
-        # (the capture journal is flushed on the drain path)
-        raise KeyboardInterrupt
-
-    signal.signal(signal.SIGTERM, _terminate)
     try:
         asyncio.run(run())
     except KeyboardInterrupt:
@@ -482,7 +482,6 @@ def _serve_pool(args, manager, label) -> int:
         swap_after=args.swap_after, metrics_port=args.metrics_port,
         service_options={
             "max_batch": args.max_batch,
-            "max_wait_us": args.max_wait_us,
             "max_pending": args.max_pending,
             "cache_size": args.cache_size,
             "request_timeout": args.request_timeout,
@@ -844,8 +843,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="TCP port (0 picks a free one)")
     serve.add_argument("--max-batch", type=int, default=128,
                        help="largest coalesced query batch")
-    serve.add_argument("--max-wait-us", type=int, default=500,
-                       help="micro-batch coalescing window in µs")
     serve.add_argument("--max-pending", type=int, default=1024,
                        help="query queue bound before 'overloaded'")
     serve.add_argument("--cache-size", type=int, default=4096,

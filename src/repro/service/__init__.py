@@ -8,8 +8,8 @@ The missing layer between the fast batch engine and "heavy traffic":
   rebuild-and-swap with zero query downtime;
 * :class:`MicroBatcher` — coalesces concurrently submitted queries
   into single :meth:`ChainIndex.is_reachable_many` kernel calls
-  (bounded queue, ``max_batch`` / ``max_wait_us`` policy, explicit
-  ``overloaded`` backpressure);
+  (flushed on the next loop turn, bounded queue, ``max_batch`` /
+  ``max_pending`` policy, explicit ``overloaded`` backpressure);
 * :class:`ResultCache` — LRU of answers keyed ``(epoch, src, dst)``,
   so a snapshot swap invalidates by construction;
 * :class:`ReachabilityService` — a stdlib-only asyncio TCP server

@@ -2,16 +2,16 @@
 
 The static index answers a 256-query batch barely slower than a single
 query once the per-call overhead (attribute lookups, kernel dispatch,
-OBS bookkeeping) is paid, so the cheapest way to serve many concurrent
-clients is the inference-server trick: queue single queries as they
-arrive, wait at most ``max_wait_us`` for company, and hand the whole
-batch to :meth:`ChainIndex.is_reachable_many` at once.
+OBS bookkeeping) is paid, so concurrent clients are served by queueing
+single queries as they arrive and handing each queued run to
+:meth:`ChainIndex.is_reachable_many` at once.  The flush task runs on
+the next event-loop turn after a submission and never sleeps for
+company: queries that arrive while one kernel call runs form the next
+batch, so batches grow with load and a lone query waits for nothing.
 
 Policy knobs:
 
 * ``max_batch`` — largest coalesced batch handed to the kernel;
-* ``max_wait_us`` — how long the first query in an empty queue waits
-  for companions before the flush (the latency price of batching);
 * ``max_pending`` — bound on queued queries.  At the bound,
   :meth:`submit` fails fast with :class:`OverloadedError` — explicit
   backpressure instead of unbounded buffering.
@@ -53,8 +53,7 @@ class MicroBatcher:
 
     def __init__(self, manager: IndexManager,
                  cache: ResultCache | None = None, *,
-                 max_batch: int = 128, max_wait_us: int = 500,
-                 max_pending: int = 1024) -> None:
+                 max_batch: int = 128, max_pending: int = 1024) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         if max_pending < 1:
@@ -62,7 +61,6 @@ class MicroBatcher:
         self._manager = manager
         self._cache = cache
         self.max_batch = max_batch
-        self.max_wait_us = max_wait_us
         self.max_pending = max_pending
         # (pair, Future, Trace | None, enqueued_at) entries
         self._pending: deque = deque()
@@ -174,10 +172,6 @@ class MicroBatcher:
             if self._closed:
                 return
             while self._pending:
-                if self.max_wait_us and len(self._pending) < self.max_batch:
-                    # coalescing window: let concurrent submitters pile
-                    # into this flush
-                    await asyncio.sleep(self.max_wait_us / 1e6)
                 try:
                     self._flush_once()
                 except Exception:  # noqa: BLE001 - a poisoned batch must
@@ -339,7 +333,6 @@ class MicroBatcher:
             "overloaded": self.overloaded,
             "size_buckets": dict(self.size_buckets),
             "max_batch": self.max_batch,
-            "max_wait_us": self.max_wait_us,
             "max_pending": self.max_pending,
             "queue_wait": self.queue_wait.summary(),
             "kernel_batch": self.kernel_batch.summary(),

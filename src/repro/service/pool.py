@@ -1006,7 +1006,7 @@ class WorkerPool:
             for bucket, count in stats["batching"]["size_buckets"].items():
                 batching["size_buckets"][bucket] = \
                     batching["size_buckets"].get(bucket, 0) + count
-            for key in ("max_batch", "max_wait_us", "max_pending"):
+            for key in ("max_batch", "max_pending"):
                 batching.setdefault(key, stats["batching"][key])
             if stats.get("cache"):
                 cache_seen = True

@@ -99,8 +99,8 @@ class ReachabilityService:
 
     def __init__(self, manager: IndexManager, *,
                  host: str = "127.0.0.1", port: int = 0,
-                 max_batch: int = 128, max_wait_us: int = 500,
-                 max_pending: int = 1024, cache_size: int = 4096,
+                 max_batch: int = 128, max_pending: int = 1024,
+                 cache_size: int = 4096,
                  request_timeout: float = 10.0,
                  drain_grace: float = 5.0,
                  metrics_port: int | None = None,
@@ -126,7 +126,6 @@ class ReachabilityService:
         self.cache = ResultCache(cache_size) if cache_size else None
         self.batcher = MicroBatcher(manager, self.cache,
                                     max_batch=max_batch,
-                                    max_wait_us=max_wait_us,
                                     max_pending=max_pending)
         self.request_timeout = request_timeout
         self.drain_grace = drain_grace

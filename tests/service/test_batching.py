@@ -33,8 +33,7 @@ class TestCoalescing:
         pairs = [(u, v) for u in nodes for v in nodes]
 
         async def scenario():
-            batcher = MicroBatcher(manager, max_batch=128,
-                                   max_wait_us=2000)
+            batcher = MicroBatcher(manager, max_batch=128)
             await batcher.start()
             answers = await asyncio.gather(
                 *(batcher.submit(u, v) for u, v in pairs))
@@ -50,17 +49,28 @@ class TestCoalescing:
         assert stats["batches"] < len(pairs) / 2
         assert stats["largest_batch"] > 1
 
-    def test_zero_wait_still_answers(self):
+    def test_lone_query_waits_for_no_timer(self, monkeypatch):
+        """A lone query on an idle batcher is flushed on the next loop
+        turn: the flush loop never sleeps for company."""
         manager = make_manager()
+        delays = []
+        real_sleep = asyncio.sleep
+
+        async def recording_sleep(delay, *args, **kwargs):
+            delays.append(delay)
+            return await real_sleep(delay, *args, **kwargs)
+
+        monkeypatch.setattr(asyncio, "sleep", recording_sleep)
 
         async def scenario():
-            batcher = MicroBatcher(manager, max_wait_us=0)
+            batcher = MicroBatcher(manager)
             await batcher.start()
             result = await batcher.submit("a", "e")
             await batcher.close()
             return result
 
         assert asyncio.run(scenario()) == (0, True)
+        assert [delay for delay in delays if delay > 0] == []
 
     def test_submit_many_is_inline(self):
         manager = make_manager()
@@ -74,7 +84,7 @@ class TestCoalescing:
         manager = make_manager()
 
         async def scenario():
-            batcher = MicroBatcher(manager, max_wait_us=2000)
+            batcher = MicroBatcher(manager)
             await batcher.start()
             results = await asyncio.gather(
                 batcher.submit("a", "e"),
@@ -98,8 +108,7 @@ class TestCoalescing:
         manager = make_manager()
 
         async def scenario():
-            batcher = MicroBatcher(manager, ResultCache(capacity=64),
-                                   max_wait_us=2000)
+            batcher = MicroBatcher(manager, ResultCache(capacity=64))
             await batcher.start()
             results = await asyncio.gather(
                 batcher.submit("a", "e"),

@@ -182,8 +182,7 @@ class TestFullStackRace:
         done = threading.Event()
         failures = []
 
-        with start_in_thread(manager, port=0, max_wait_us=200,
-                             cache_size=256) as handle:
+        with start_in_thread(manager, port=0, cache_size=256) as handle:
             host, port = handle.address
 
             def writer():

@@ -8,6 +8,7 @@ path ``repro-graph query --remote`` uses.
 
 import json
 import socket
+import time
 
 import pytest
 
@@ -205,12 +206,21 @@ class TestLifecycle:
 
 class TestOverload:
     def test_overloaded_wire_error_under_pressure(self):
-        """A tiny queue + a long coalescing window forces at least one
-        explicit ``overloaded`` response instead of silent buffering."""
+        """A tiny queue + a kernel call that blocks the event loop
+        forces at least one explicit ``overloaded`` response instead of
+        silent buffering."""
         manager = IndexManager.from_graph(
             DiGraph.from_edges(PAPER_FIG1_EDGES))
+        real_query_many = manager.query_many
+
+        def slow_query_many(pairs):
+            # holds the loop, so the pipelined requests queue behind it
+            time.sleep(0.05)
+            return real_query_many(pairs)
+
+        manager.query_many = slow_query_many
         with start_in_thread(manager, port=0, max_pending=2,
-                             max_batch=2, max_wait_us=200_000) as handle:
+                             max_batch=2) as handle:
             host, port = handle.address
             clients = [ServiceClient(host, port) for _ in range(8)]
             try:

@@ -3,8 +3,10 @@
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -428,6 +430,60 @@ class TestServe:
                 stdout, _ = process.communicate()
         assert b"serving" in stdout
         assert b"drained and stopped" in stdout
+
+    def test_serve_sigterm_drains_under_load(self, graph_file, tmp_path):
+        """SIGTERM while two clients loop on ``query`` drains like
+        Ctrl-C: exit 0, "drained and stopped", no traceback."""
+        ready = tmp_path / "ready"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(
+            Path(__file__).resolve().parent.parent / "src")
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", graph_file,
+             "--port", "0", "--ready-file", str(ready)],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        request = json.dumps({"op": "query", "source": 0,
+                              "target": 1}).encode() + b"\n"
+        answered = [0, 0]
+
+        def loop_on_query(slot, address):
+            try:
+                with socket.create_connection(address,
+                                              timeout=10) as sock:
+                    reader = sock.makefile("rb")
+                    while True:
+                        sock.sendall(request)
+                        if not reader.readline():
+                            return           # drained: server closed
+                        answered[slot] += 1
+            except OSError:
+                return                       # reset while draining
+
+        clients = []
+        try:
+            info = wait_ready(process, ready)
+            address = (info["host"], info["port"])
+            clients = [threading.Thread(target=loop_on_query,
+                                        args=(slot, address))
+                       for slot in range(2)]
+            for client in clients:
+                client.start()
+            deadline = time.monotonic() + 10
+            while min(answered) < 20 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            process.send_signal(signal.SIGTERM)
+            stdout, stderr = process.communicate(timeout=30)
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.communicate()
+            for client in clients:
+                client.join(timeout=10)
+        assert min(answered) >= 20, "clients never got going"
+        assert not any(client.is_alive() for client in clients)
+        assert process.returncode == 0, stderr.decode()
+        assert b"drained and stopped" in stdout
+        assert b"Traceback" not in stderr, stderr.decode()
 
     def test_serve_workers_subprocess_end_to_end(self, graph_file,
                                                  tmp_path, capsys):
