@@ -2,7 +2,7 @@
 
 Stands up the TCP reachability service over the Fig. 10 middle sparse
 workload and measures sequential single-query, concurrent
-(micro-batched), cached and bulk throughput end to end, writing the
+(micro-batched) and bulk throughput end to end, writing the
 result to ``BENCH_serve.json`` at the repository root so the serving
 trajectory has comparable data points across commits.  The ``workers``
 section adds the multi-process WorkerPool scaling sweep (2 and 4
@@ -65,8 +65,6 @@ def test_serve_smoke_writes_bench_json():
     # the write burst was promoted by a live rebuild-and-swap
     assert result["swap_count"] >= 1
     assert result["epoch"] >= 1
-    # the second concurrent pass re-used the epoch-keyed cache
-    assert result["cache_hit_rate"] > 0
     # tail latency from the server's streaming histograms
     assert (result["p50_ms"] <= result["p99_ms"] <= result["p999_ms"])
     # exact client-side summary from the shared repro.obs helper
@@ -77,7 +75,7 @@ def test_serve_smoke_writes_bench_json():
     classes = result["latency_classes"]
     assert classes, "no per-class latency summaries recorded"
     assert set(classes) <= {"positive", "negative", "prefilter_hit",
-                            "cache_hit", "batch"}
+                            "batch"}
     assert all(summary["count"] >= 1 for summary in classes.values())
     # the multi-process scaling sweep ran and the swap lost nothing
     pool = result["workers"]

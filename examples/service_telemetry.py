@@ -40,12 +40,12 @@ def main() -> None:
               f"metrics on {metrics_host}:{metrics_port}")
 
         with ServiceClient(host, port) as client:
-            # a mixed workload: positives, negatives, repeats (cache
-            # hits), and one coalesced batch
+            # a mixed workload: positives, negatives, a repeat, and
+            # one coalesced batch
             client.query("a", "e")
             client.query("e", "a")
             client.query_batch([("f", "i"), ("d", "a"), ("g", "e")])
-            client.query("a", "e")                  # cache hit
+            client.query("a", "e")                  # a repeat
 
             # 1. the per-request trace, echoed on demand
             _, reachable, trace = client.query_traced("a", "e")

@@ -296,8 +296,6 @@ def run_serve_smoke(scale: float = 1.0, workers: int = 0) -> str:
         ("sequential queries/sec", f"{result['sequential_qps']:,.0f}"),
         ("concurrent (batched) queries/sec",
          f"{result['concurrent_qps']:,.0f}"),
-        ("concurrent, warm cache queries/sec",
-         f"{result['cached_qps']:,.0f}"),
         ("bulk query_batch queries/sec", f"{result['bulk_qps']:,.0f}"),
         ("micro-batching speedup",
          f"{result['batching_speedup']:.2f}x"),
@@ -305,7 +303,6 @@ def run_serve_smoke(scale: float = 1.0, workers: int = 0) -> str:
          f"{result['concurrent_mean_batch']:.1f}"),
         ("mean batch size", f"{result['mean_batch_size']:.1f}"),
         ("largest batch", f"{result['largest_batch']}"),
-        ("cache hit rate", f"{100 * result['cache_hit_rate']:.1f}%"),
         ("snapshot swaps", f"{result['swap_count']}"),
         ("final epoch", f"{result['epoch']}"),
         ("p50 latency", f"{result['p50_ms']:.2f} ms"),

@@ -19,11 +19,9 @@ batcher's counters before and after it) is at least
 than sequential.  Their ratio, ``batching_speedup``, is recorded but
 not gated: it only measures how slow a lone query is.
 
-The concurrent phase runs the stream twice so the second pass
-exercises the epoch-keyed result cache, and the run finishes with a
-few ``add_edge`` writes plus a ``reload`` to count a live
-rebuild-and-swap.  Everything runs in one process and one event loop —
-no free ports, threads or subprocesses to leak.
+The run finishes with a few ``add_edge`` writes plus a ``reload`` to
+count a live rebuild-and-swap.  Everything runs in one process and
+one event loop — no free ports, threads or subprocesses to leak.
 
 :func:`pool_scaling_smoke` is the multi-process counterpart: the same
 workload served through a :class:`~repro.service.WorkerPool` at each
@@ -178,8 +176,6 @@ async def _smoke(scale: float) -> dict:
         sequential_count = min(len(queries), max(32, int(400 * scale)))
         phases = await single_query_phases(service, queries,
                                            sequential_count)
-        # second pass over the same stream: mostly cache hits
-        cached_seconds = await _concurrent_phase(host, port, queries)
         bulk_seconds = await _bulk_phase(host, port, queries)
 
         # a live write burst + rebuild-and-swap while the server is up
@@ -206,12 +202,10 @@ async def _smoke(scale: float) -> dict:
         "queries": len(queries),
         "connections": CONNECTIONS,
         **phases,
-        "cached_qps": len(queries) / cached_seconds,
         "bulk_qps": len(queries) / bulk_seconds,
         "mean_batch_size": batching["mean_batch_size"],
         "largest_batch": batching["largest_batch"],
         "batches": batching["batches"],
-        "cache_hit_rate": stats["cache"]["hit_rate"],
         "swap_count": stats["index"]["swaps"],
         "epoch": reload_response["epoch"],
         "p50_ms": stats["server"]["p50_ms"],

@@ -411,7 +411,6 @@ def _cmd_serve(args) -> int:
     service = ReachabilityService(
         manager, host=args.host, port=args.port,
         max_batch=args.max_batch, max_pending=args.max_pending,
-        cache_size=args.cache_size,
         request_timeout=args.request_timeout,
         metrics_port=args.metrics_port,
         log=args.log, slow_query_ms=args.slow_query_ms,
@@ -483,7 +482,6 @@ def _serve_pool(args, manager, label) -> int:
         service_options={
             "max_batch": args.max_batch,
             "max_pending": args.max_pending,
-            "cache_size": args.cache_size,
             "request_timeout": args.request_timeout,
             # a str capture path is rewritten per worker to
             # PATH.worker<id>; slo trackers are per worker too
@@ -845,8 +843,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="largest coalesced query batch")
     serve.add_argument("--max-pending", type=int, default=1024,
                        help="query queue bound before 'overloaded'")
-    serve.add_argument("--cache-size", type=int, default=4096,
-                       help="LRU result-cache capacity (0 disables)")
     serve.add_argument("--request-timeout", type=float, default=10.0,
                        help="per-request timeout in seconds")
     serve.add_argument("--swap-after", type=int, default=64,

@@ -11,7 +11,7 @@ labeling), the query path, index persistence, incremental maintenance
 and the serving layer all report here, which is what lets measured
 cost be attributed to the phases of the paper's ``O(n² + b·n·√b)``
 build / ``O(b·e)`` labeling analysis — and, on the serving path, to
-the stages of one request (queue wait vs cache vs kernel vs swap).
+the stages of one request (queue wait vs kernel vs swap).
 
 Quick use::
 

@@ -157,12 +157,6 @@ CATALOG: tuple[MetricSpec, ...] = (
                "MicroBatcher — batch-size histogram: batches whose "
                "size fell in the bucket (le-1, le-4, le-16, le-64, "
                "le-256, inf)"),
-    MetricSpec("service/cache_hits", "counter", "count",
-               "MicroBatcher — queries answered from the epoch-keyed "
-               "LRU result cache"),
-    MetricSpec("service/cache_misses", "counter", "count",
-               "MicroBatcher — queries that missed the result cache "
-               "and went to the kernel"),
     MetricSpec("service/overloaded", "counter", "count",
                "MicroBatcher.submit — queries rejected by the bounded "
                "queue (the explicit backpressure path)"),
@@ -246,7 +240,7 @@ CATALOG: tuple[MetricSpec, ...] = (
     MetricSpec("service/latency/{class}", "histogram", "seconds",
                "ReachabilityService — end-to-end latency of one query "
                "request, by answer class (positive, negative, "
-               "prefilter_hit, cache_hit, batch, error)"),
+               "prefilter_hit, batch, error)"),
     MetricSpec("service/request_latency", "histogram", "seconds",
                "ReachabilityService — end-to-end latency of every "
                "wire request, any op"),

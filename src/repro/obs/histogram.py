@@ -2,12 +2,11 @@
 
 The latency of a reachability query is sharply bimodal — a negative
 settled by the O(1) rank/level pre-filter costs a fraction of a
-full-label binary search, and a cache hit costs less still — so a
-mean (or a percentile estimated from a small sample deque) actively
-misleads.  :class:`Histogram` records the full distribution instead,
-HDR-style: values land in base-2 **octaves** (one per binary exponent,
-via :func:`math.frexp`) split into :data:`SUB_BUCKETS` linear
-sub-buckets each.  The bucket layout is fixed up front, so
+full-label binary search — so a mean (or a percentile estimated from
+a small sample deque) actively misleads.  :class:`Histogram` records
+the full distribution instead, HDR-style: values land in base-2
+**octaves** (one per binary exponent, via :func:`math.frexp`) split
+into :data:`SUB_BUCKETS` linear sub-buckets each.  The bucket layout is fixed up front, so
 
 * memory is bounded by the number of *touched* buckets (at most
   ``SUB_BUCKETS`` per octave, and a double only spans ~2100 octaves) —

@@ -3,7 +3,7 @@
 An SLO here is a declarative sentence about one answer class::
 
     positive p99 < 2ms
-    cache_hit p999 < 1ms
+    negative p999 < 1ms
     batch p50 <= 20ms
     availability >= 99.9%
 

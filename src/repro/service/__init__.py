@@ -10,8 +10,6 @@ The missing layer between the fast batch engine and "heavy traffic":
   into single :meth:`ChainIndex.is_reachable_many` kernel calls
   (flushed on the next loop turn, bounded queue, ``max_batch`` /
   ``max_pending`` policy, explicit ``overloaded`` backpressure);
-* :class:`ResultCache` — LRU of answers keyed ``(epoch, src, dst)``,
-  so a snapshot swap invalidates by construction;
 * :class:`ReachabilityService` — a stdlib-only asyncio TCP server
   speaking newline-delimited JSON (``query`` / ``query_batch`` /
   ``add_edge`` / ``stats`` / ``metrics`` / ``reload``) with
@@ -37,7 +35,6 @@ and ``repro-graph query --remote HOST:PORT``.
 """
 
 from repro.service.batching import BATCH_SIZE_BUCKETS, MicroBatcher
-from repro.service.cache import ResultCache
 from repro.service.capture import RequestCapture, load_journal
 from repro.service.client import ServiceClient
 from repro.service.errors import (
@@ -65,7 +62,6 @@ __all__ = [
     "AttachedIndex",
     "MicroBatcher",
     "BATCH_SIZE_BUCKETS",
-    "ResultCache",
     "RequestCapture",
     "load_journal",
     "ReachabilityService",

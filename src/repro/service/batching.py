@@ -16,10 +16,9 @@ Policy knobs:
   :meth:`submit` fails fast with :class:`OverloadedError` — explicit
   backpressure instead of unbounded buffering.
 
-Answers resolve through the :class:`~repro.service.cache.ResultCache`
-first (keyed by epoch, so a snapshot swap invalidates by
-construction); cache misses go to the manager in one batch, and every
-result a client sees is tagged with the epoch it is exact for.
+Each flush is one :meth:`IndexManager.query_many` call, which reads
+one snapshot: every answer in a batch is exact for the one epoch the
+call returns, and every result a client sees is tagged with it.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ import time
 from collections import deque
 
 from repro.obs import OBS, Histogram
-from repro.service.cache import ResultCache
 from repro.service.errors import OverloadedError, ServiceError
 from repro.service.manager import IndexManager
 
@@ -51,15 +49,13 @@ def _bucket_name(size: int) -> str:
 class MicroBatcher:
     """Coalesces concurrently submitted queries (one per event loop)."""
 
-    def __init__(self, manager: IndexManager,
-                 cache: ResultCache | None = None, *,
+    def __init__(self, manager: IndexManager, *,
                  max_batch: int = 128, max_pending: int = 1024) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         if max_pending < 1:
             raise ValueError("max_pending must be >= 1")
         self._manager = manager
-        self._cache = cache
         self.max_batch = max_batch
         self.max_pending = max_pending
         # (pair, Future, Trace | None, enqueued_at) entries
@@ -120,8 +116,8 @@ class MicroBatcher:
         at ``max_pending`` — the caller (the server) turns that into
         the wire-level ``overloaded`` error.  A
         :class:`~repro.service.tracing.Trace` passed in rides along
-        and collects ``enqueue`` / ``flush`` / ``cache`` / ``kernel``
-        marks as the query crosses the batcher.
+        and collects ``enqueue`` / ``flush`` / ``kernel`` marks as the
+        query crosses the batcher.
         """
         if self._closed:
             raise ServiceError("service is shutting down")
@@ -145,16 +141,19 @@ class MicroBatcher:
 
         ``query_batch`` arrives pre-coalesced, so it bypasses the queue
         and its backpressure bound (the wire framing bounds its size)
-        but still runs through the cache and counts as one kernel
-        batch.  One trace covers the whole batch.
+        but is still one kernel call and counts as one batch.  One
+        trace covers the whole batch.
         """
         if self._closed:
             raise ServiceError("service is shutting down")
         self._note_batch(len(pairs))
         if trace is not None:
             trace.mark("flush", batch=len(pairs), inline=True)
-        traces = [trace] + [None] * (len(pairs) - 1) if trace else None
-        return self._resolve(pairs, traces)
+        epoch, answers = self._timed_query_many(pairs)
+        if trace is not None:
+            trace.epoch = epoch
+            trace.mark("kernel", epoch=epoch, batch=len(pairs))
+        return epoch, answers
 
     @property
     def queue_depth(self) -> int:
@@ -208,15 +207,17 @@ class MicroBatcher:
                 trace.mark("flush", batch=len(entries),
                            queue_depth=len(pending))
         pairs = [pair for pair, _, _, _ in entries]
-        traces = [trace for _, _, trace, _ in entries]
         try:
-            epoch, answers = self._resolve(pairs, traces)
+            epoch, answers = self._timed_query_many(pairs)
         except Exception:  # noqa: BLE001 - e.g. unknown node (GraphError)
             # or an unhashable pair from wire JSON (TypeError); one bad
             # pair must fail only its own query, not the whole batch
             self._resolve_individually(entries)
             return
-        for (_, future, _, _), answer in zip(entries, answers):
+        for (_, future, trace, _), answer in zip(entries, answers):
+            if trace is not None:
+                trace.epoch = epoch
+                trace.mark("kernel", epoch=epoch, batch=len(entries))
             if not future.done():
                 future.set_result((epoch, answer))
 
@@ -244,71 +245,6 @@ class MicroBatcher:
         if OBS.enabled:
             OBS.observe("service/kernel_batch", elapsed)
         return epoch, answers
-
-    def _resolve(self, pairs: list,
-                 traces: list | None = None) -> tuple[int, list[bool]]:
-        """Cache + kernel resolution, consistent at one epoch.
-
-        Looks the batch up in the cache at the current epoch, answers
-        the misses in one kernel call, and re-resolves from scratch in
-        the rare case a swap lands between the cache pass and the
-        kernel call (so hits and misses can never mix epochs).
-        """
-        manager = self._manager
-        cache = self._cache
-        if traces is None:
-            traces = [None] * len(pairs)
-        if cache is None:
-            epoch, answers = self._timed_query_many(pairs)
-            for trace in traces:
-                if trace is not None:
-                    trace.epoch = epoch
-                    trace.mark("kernel", epoch=epoch, batch=len(pairs))
-            return epoch, answers
-        epoch = manager.epoch
-        answers: list = [None] * len(pairs)
-        miss_positions = []
-        hits = 0
-        for position, (source, target) in enumerate(pairs):
-            cached = cache.get(epoch, source, target, traces[position])
-            if cached is None:
-                miss_positions.append(position)
-            else:
-                answers[position] = cached
-                hits += 1
-        if OBS.enabled:
-            if hits:
-                OBS.count("service/cache_hits", hits)
-            if miss_positions:
-                OBS.count("service/cache_misses", len(miss_positions))
-        if not miss_positions:
-            return epoch, answers
-        miss_pairs = [pairs[position] for position in miss_positions]
-        kernel_epoch, kernel_answers = self._timed_query_many(miss_pairs)
-        if kernel_epoch != epoch and hits:
-            # a swap raced the cache pass; the hits answered for the
-            # old epoch, so take the whole batch from the new snapshot
-            kernel_epoch, kernel_answers = self._timed_query_many(pairs)
-            for (source, target), answer in zip(pairs, kernel_answers):
-                cache.put(kernel_epoch, source, target, answer)
-            for trace in traces:
-                if trace is not None:
-                    # stale cache hits were re-answered by the kernel
-                    trace.klass = None
-                    trace.epoch = kernel_epoch
-                    trace.mark("kernel", epoch=kernel_epoch,
-                               batch=len(pairs))
-            return kernel_epoch, kernel_answers
-        for position, answer in zip(miss_positions, kernel_answers):
-            source, target = pairs[position]
-            cache.put(kernel_epoch, source, target, answer)
-            answers[position] = answer
-            trace = traces[position]
-            if trace is not None:
-                trace.epoch = kernel_epoch
-                trace.mark("kernel", epoch=kernel_epoch,
-                           batch=len(miss_pairs))
-        return kernel_epoch, answers
 
     def _note_batch(self, size: int) -> None:
         self.batches += 1

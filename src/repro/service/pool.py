@@ -11,7 +11,7 @@ removes that cap without duplicating the index:
   segment (:mod:`repro.service.shm`), one physical copy per epoch;
 * each **worker** process attaches the segment read-only and runs a
   full :class:`~repro.service.server.ReachabilityService` (batcher,
-  cache, tracing) over memoryview-backed labels — attach cost is a
+  tracing) over memoryview-backed labels — attach cost is a
   header parse plus a CRC pass, not an index copy;
 * the kernel spreads connections across workers via **SO_REUSEPORT**
   (every worker listens on the same port), falling back to one shared
@@ -156,8 +156,8 @@ class _AttachedManager:
             try:
                 deferred.close()
             except BufferError:
-                # a kernel call or cache entry still holds a view;
-                # retry at the next swap (and the OS reclaims at exit)
+                # a kernel call still holds a view; retry at the
+                # next swap (and the OS reclaims at exit)
                 still_exported.append(deferred)
         self._deferred = still_exported
 
@@ -979,8 +979,6 @@ class WorkerPool:
         batching = {"batches": 0, "coalesced_queries": 0,
                     "largest_batch": 0, "queue_depth": 0,
                     "overloaded": 0, "size_buckets": {}}
-        cache = {"size": 0, "capacity": 0, "hits": 0, "misses": 0}
-        cache_seen = False
         slow_traces: list[dict] = []
         workers = []
         uptime = (time.monotonic() - self._started_at
@@ -1008,10 +1006,6 @@ class WorkerPool:
                     batching["size_buckets"].get(bucket, 0) + count
             for key in ("max_batch", "max_pending"):
                 batching.setdefault(key, stats["batching"][key])
-            if stats.get("cache"):
-                cache_seen = True
-                for key in ("size", "capacity", "hits", "misses"):
-                    cache[key] += stats["cache"][key]
             slow_traces.extend(stats.get("slow_traces", []))
             workers.append({
                 "worker_id": export["worker_id"],
@@ -1033,8 +1027,6 @@ class WorkerPool:
             if batching["batches"] else 0.0)
         batching["queue_wait"] = queue_wait.summary()
         batching["kernel_batch"] = kernel_batch.summary()
-        lookups = cache["hits"] + cache["misses"]
-        cache["hit_rate"] = cache["hits"] / lookups if lookups else 0.0
         slow_traces.sort(key=lambda trace: trace.get("total_ms", 0.0),
                          reverse=True)
         workers.sort(key=lambda worker: worker["worker_id"])
@@ -1046,7 +1038,6 @@ class WorkerPool:
             "slow_traces": slow_traces[:_MERGED_TRACES],
             "index": self.manager.stats(),
             "batching": batching,
-            "cache": cache if cache_seen else None,
             "workers": workers,
             "pool": {
                 "workers": self.alive_workers(),

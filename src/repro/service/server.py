@@ -9,15 +9,15 @@ contract is specified in ``docs/SERVICE.md``.
 
 Telemetry: every query request carries a
 :class:`~repro.service.tracing.Trace` through the serving path
-(``accept`` → ``enqueue`` → ``flush`` → ``cache``/``kernel`` →
-``respond``); the finished trace feeds always-on per-class latency
-histograms (``positive`` / ``negative`` / ``prefilter_hit`` /
-``cache_hit`` / ``batch``), a bounded ring of the slowest traces
-(``stats`` → ``slow_traces``), the threshold-gated slow-query log, and
-— when the request carried ``"trace": true`` — a stage breakdown
-echoed in the response.  The ``metrics`` verb and the optional HTTP
-side listener (``metrics_port``) expose everything in Prometheus text
-format (:mod:`repro.obs.promtext`); the side listener also answers
+(``accept`` → ``enqueue`` → ``flush`` → ``kernel`` → ``respond``);
+the finished trace feeds always-on per-class latency histograms
+(``positive`` / ``negative`` / ``prefilter_hit`` / ``batch``), a
+bounded ring of the slowest traces (``stats`` → ``slow_traces``), the
+threshold-gated slow-query log, and — when the request carried
+``"trace": true`` — a stage breakdown echoed in the response.  The
+``metrics`` verb and the optional HTTP side listener
+(``metrics_port``) expose everything in Prometheus text format
+(:mod:`repro.obs.promtext`); the side listener also answers
 ``/healthz`` (process up) and ``/readyz`` (snapshot published, not
 draining) so probes need not speak the NDJSON protocol.
 
@@ -65,7 +65,6 @@ from repro.graph.errors import (
 from repro.obs import OBS, Histogram, open_log, promtext
 from repro.obs.slo import SloTracker
 from repro.service.batching import MicroBatcher
-from repro.service.cache import ResultCache
 from repro.service.capture import CAPTURED_OPS, RequestCapture
 from repro.service.errors import (
     OverloadedError,
@@ -80,27 +79,48 @@ __all__ = ["ReachabilityService", "ThreadedService", "start_in_thread"]
 #: largest accepted request line (also bounds query_batch size).
 MAX_LINE_BYTES = 4 * 1024 * 1024
 
+#: JSON values that cannot be node ids (unhashable)
+_CONTAINERS = (dict, list)
+_PAIRS_SHAPE = "pairs must be a list of [source, target] pairs"
+
 
 def _scalar(value, name: str):
-    """Reject wire values that cannot be node ids / cache keys.
+    """Reject wire values that cannot be node ids.
 
     JSON containers are unhashable, so letting one through would blow
-    up later in the cache or the kernel instead of at the request
-    boundary.
+    up later in the kernel instead of at the request boundary.
     """
-    if isinstance(value, (dict, list)):
+    if isinstance(value, _CONTAINERS):
         raise ValueError(
             f"{name} must be a JSON scalar, not {type(value).__name__}")
     return value
 
 
+def _pairs(value) -> list:
+    """Validate a ``query_batch`` pairs list in one pass; returns it.
+
+    The ``[source, target]`` lists go to the kernel as the JSON decoder
+    built them: no per-pair copy.
+    """
+    if not isinstance(value, list):
+        raise ValueError(_PAIRS_SHAPE)
+    for pair in value:
+        if type(pair) is not list or len(pair) != 2:
+            raise ValueError(_PAIRS_SHAPE)
+        source, target = pair
+        if (isinstance(source, _CONTAINERS)
+                or isinstance(target, _CONTAINERS)):
+            _scalar(source, "source")
+            _scalar(target, "target")
+    return value
+
+
 class ReachabilityService:
-    """Manager + cache + micro-batcher behind one TCP listener."""
+    """Manager + micro-batcher behind one TCP listener."""
 
     def __init__(self, manager: IndexManager, *,
                  host: str = "127.0.0.1", port: int = 0,
                  max_batch: int = 128, max_pending: int = 1024,
-                 cache_size: int = 4096,
                  request_timeout: float = 10.0,
                  drain_grace: float = 5.0,
                  metrics_port: int | None = None,
@@ -123,9 +143,7 @@ class ReachabilityService:
         self._sock = sock
         self.stats_provider = stats_provider
         self.metrics_provider = metrics_provider
-        self.cache = ResultCache(cache_size) if cache_size else None
-        self.batcher = MicroBatcher(manager, self.cache,
-                                    max_batch=max_batch,
+        self.batcher = MicroBatcher(manager, max_batch=max_batch,
                                     max_pending=max_pending)
         self.request_timeout = request_timeout
         self.drain_grace = drain_grace
@@ -382,10 +400,7 @@ class ReachabilityService:
             # failed queries get their own class: they must not skew
             # the answer-class latencies, but SLOs still see them
             trace.klass = "error"
-        elif trace.op == "query_batch":
-            # a cached first pair must not reclassify the whole batch
-            trace.klass = "batch"
-        elif trace.klass is None:
+        else:
             trace.klass = self._classify(trace.op, request, response)
         seconds = trace.total_seconds
         histogram = self.class_latency.get(trace.klass)
@@ -421,7 +436,7 @@ class ReachabilityService:
             response["trace"] = trace.to_dict()
 
     def _classify(self, op: str, request: dict, response: dict) -> str:
-        """Answer class for a settled query the cache did not claim."""
+        """Answer class for a settled query."""
         if op == "query_batch":
             return "batch"
         if response.get("reachable"):
@@ -453,15 +468,8 @@ class ReachabilityService:
                                                          trace)
             return {"ok": True, "epoch": epoch, "reachable": reachable}
         if op == "query_batch":
-            pairs = request["pairs"]
-            if not isinstance(pairs, list) or not all(
-                    isinstance(pair, (list, tuple)) and len(pair) == 2
-                    for pair in pairs):
-                raise ValueError(
-                    "pairs must be a list of [source, target] pairs")
-            pairs = [(_scalar(source, "source"), _scalar(target, "target"))
-                     for source, target in pairs]
-            epoch, answers = self.batcher.submit_many(pairs, trace)
+            epoch, answers = self.batcher.submit_many(
+                _pairs(request["pairs"]), trace)
             return {"ok": True, "epoch": epoch, "reachable": answers}
         if op == "add_edge":
             source = _scalar(request["source"], "source")
@@ -636,8 +644,8 @@ class ReachabilityService:
                 and self.manager.snapshot is not None)
 
     def stats(self) -> dict:
-        """The ``stats`` verb payload: manager + batcher + cache +
-        server + per-class latency + slowest traces."""
+        """The ``stats`` verb payload: manager + batcher + server +
+        per-class latency + slowest traces."""
         now = time.monotonic()
         recent = list(self._recent)
         window = now - recent[0] if recent else 0.0
@@ -662,8 +670,6 @@ class ReachabilityService:
             "slow_traces": self.slow_traces.snapshot(),
             "index": self.manager.stats(),
             "batching": self.batcher.stats(),
-            "cache": (self.cache.stats() if self.cache is not None
-                      else None),
         }
 
 

@@ -7,9 +7,9 @@ serving path —
 
 ``accept`` (request parsed; queue depth and epoch at arrival) →
 ``enqueue`` (handed to the micro-batcher) → ``flush`` (its batch was
-picked up; batch size and queue depth at flush) → ``cache`` /
-``kernel`` (answered from the result cache, or by the coalesced
-``is_reachable_many`` call; epoch it answered at) → ``respond``.
+picked up; batch size and queue depth at flush) → ``kernel`` (answered
+by the coalesced ``is_reachable_many`` call; epoch it answered at) →
+``respond``.
 
 The marks are monotonic-clock offsets from the trace's start, so the
 rendered breakdown reports per-stage **durations** (the gap between
@@ -50,8 +50,7 @@ class Trace:
         self.started = time.perf_counter()
         #: list of ``(stage, offset_seconds, fields)`` in mark order
         self.marks: list[tuple[str, float, dict]] = []
-        #: answer class, set by whichever hop settled the query
-        #: (``cache_hit`` by the cache; the server classifies the rest)
+        #: answer class, set by the server once the query is settled
         self.klass: str | None = None
         self.epoch: int | None = None
         self.total_seconds = 0.0

@@ -13,7 +13,6 @@ from repro.service import (
     IndexManager,
     MicroBatcher,
     OverloadedError,
-    ResultCache,
     ServiceError,
 )
 
@@ -108,7 +107,7 @@ class TestCoalescing:
         manager = make_manager()
 
         async def scenario():
-            batcher = MicroBatcher(manager, ResultCache(capacity=64))
+            batcher = MicroBatcher(manager)
             await batcher.start()
             results = await asyncio.gather(
                 batcher.submit("a", "e"),
@@ -181,58 +180,3 @@ class TestBackpressure:
             MicroBatcher(manager, max_batch=0)
         with pytest.raises(ValueError):
             MicroBatcher(manager, max_pending=0)
-
-
-class TestCacheIntegration:
-    def test_repeat_queries_hit_the_cache(self):
-        manager = make_manager()
-        cache = ResultCache(capacity=64)
-        batcher = MicroBatcher(manager, cache)
-        pairs = [("a", "e"), ("e", "a"), ("f", "i")]
-        first = batcher.submit_many(pairs)
-        second = batcher.submit_many(pairs)
-        assert first == second
-        stats = cache.stats()
-        assert stats["hits"] == len(pairs)
-        assert stats["misses"] == len(pairs)
-
-    def test_swap_invalidates_by_epoch(self):
-        manager = make_manager()
-        cache = ResultCache(capacity=64)
-        batcher = MicroBatcher(manager, cache)
-        assert batcher.submit_many([("a", "e")]) == (0, [True])
-        manager.add_edge("e", "zz", create=True)
-        manager.swap()
-        epoch, answers = batcher.submit_many([("a", "zz"), ("a", "e")])
-        assert (epoch, answers) == (1, [True, True])
-        # the epoch-0 entry is still cached but unreachable by key
-        assert cache.get(0, "a", "e") is True
-        assert cache.get(1, "a", "zz") is True
-
-    def test_mixed_epoch_batches_never_escape(self):
-        """A swap racing the cache pass re-resolves the whole batch."""
-        manager = make_manager()
-        cache = ResultCache(capacity=64)
-        batcher = MicroBatcher(manager, cache)
-        batcher.submit_many([("a", "e")])        # warm the cache at 0
-
-        real_query_many = manager.query_many
-        swapped = {"done": False}
-
-        def racing_query_many(pairs):
-            # a writer promotes a new snapshot between the cache pass
-            # (which already answered ("a","e") at epoch 0) and the
-            # kernel call for the misses
-            if not swapped["done"]:
-                swapped["done"] = True
-                manager.add_edge("e", "zz", create=True)
-                manager.swap()
-            return real_query_many(pairs)
-
-        manager.query_many = racing_query_many
-        try:
-            epoch, answers = batcher.submit_many([("a", "e"), ("f", "i")])
-        finally:
-            manager.query_many = real_query_many
-        assert epoch == 1                        # the whole batch moved
-        assert answers == [True, True]

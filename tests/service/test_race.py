@@ -172,8 +172,8 @@ class TestManagerRace:
 
 class TestFullStackRace:
     def test_remote_queries_race_writes_and_reloads(self):
-        """The whole pipe — client, server, batcher, cache, manager —
-        under one writer client and several query clients."""
+        """The whole pipe — client, server, batcher, manager — under
+        one writer client and several query clients."""
         manager = IndexManager.from_graph(
             DiGraph.from_edges(PAPER_FIG1_EDGES))
         edge_log: dict = {}
@@ -182,7 +182,7 @@ class TestFullStackRace:
         done = threading.Event()
         failures = []
 
-        with start_in_thread(manager, port=0, cache_size=256) as handle:
+        with start_in_thread(manager, port=0) as handle:
             host, port = handle.address
 
             def writer():

@@ -84,7 +84,6 @@ class TestVerbs:
         assert stats["server"]["requests"] >= 1
         assert stats["index"]["epoch"] == 0
         assert stats["batching"]["batches"] >= 1
-        assert stats["cache"]["size"] >= 1
 
     def test_request_id_is_echoed(self, running_service, client):
         response = client.call({"op": "ping", "id": 42})
@@ -119,9 +118,14 @@ class TestErrors:
         assert excinfo.value.code == "bad_request"
 
     def test_malformed_pairs(self, client):
-        with pytest.raises(RemoteError) as excinfo:
-            client.call({"op": "query_batch", "pairs": [["a"]]})
-        assert excinfo.value.code == "bad_request"
+        for pairs in ([["a"]],                  # a one-element pair
+                      "a,e",                    # not a list at all
+                      [["a", "e", "f"]],        # a three-element pair
+                      [{"source": "a", "target": "e"}]):  # a dict pair
+            with pytest.raises(RemoteError) as excinfo:
+                client.call({"op": "query_batch", "pairs": pairs})
+            assert excinfo.value.code == "bad_request"
+            assert "list of [source, target] pairs" in str(excinfo.value)
 
     def test_unhashable_node_values_are_bad_requests(self, client):
         """JSON containers are rejected at the request boundary; if one

@@ -26,8 +26,7 @@ from repro.service import (
 
 from tests.conftest import PAPER_FIG1_EDGES
 
-CLASSES = {"positive", "negative", "prefilter_hit", "cache_hit",
-           "batch"}
+CLASSES = {"positive", "negative", "prefilter_hit", "batch"}
 
 
 @pytest.fixture
@@ -64,7 +63,7 @@ class TestTracing:
         assert stages[0] == "accept"
         assert stages[-1] == "respond"
         assert "enqueue" in stages and "flush" in stages
-        assert "kernel" in stages or "cache" in stages
+        assert "kernel" in stages
         # per-stage durations never overshoot the request total
         assert all(entry["ms"] >= 0.0 for entry in trace["stages"])
         stage_sum = sum(entry["ms"] for entry in trace["stages"])
@@ -113,14 +112,13 @@ class TestTracing:
 class TestClassification:
     def test_positive_negative_cache_and_batch_classes(self, client):
         client.query("a", "e")               # positive
-        client.query("a", "e")               # second hit: cache_hit
+        client.query("a", "e")               # a repeat: positive again
         client.query("e", "a")               # some negative flavour
         client.query_batch([("a", "e"), ("f", "i")])
         stats = client.stats()
         latency = stats["latency"]
         assert set(latency) <= CLASSES
-        assert latency["positive"]["count"] >= 1
-        assert latency["cache_hit"]["count"] >= 1
+        assert latency["positive"]["count"] == 2
         assert latency["batch"]["count"] == 1
         assert (latency.get("negative", {"count": 0})["count"]
                 + latency.get("prefilter_hit", {"count": 0})["count"]
@@ -137,12 +135,14 @@ class TestClassification:
         assert reachable is False
         assert trace["class"] == "prefilter_hit"
 
-    def test_cache_hit_class_rides_the_trace(self, client):
+    def test_repeat_query_is_settled_by_the_kernel(self, client):
         client.query("a", "e")
-        _, _, trace = client.query_traced("a", "e")
-        assert trace["class"] == "cache_hit"
-        assert any(entry["stage"] == "cache"
-                   for entry in trace["stages"])
+        _, reachable, trace = client.query_traced("a", "e")
+        assert reachable is True
+        assert trace["class"] == "positive"
+        stages = [entry["stage"] for entry in trace["stages"]]
+        assert "kernel" in stages
+        assert "cache" not in stages
 
 
 class TestStats:

@@ -401,6 +401,23 @@ class TestServe:
         assert main(["serve"]) == 2
         assert "graph file or --index" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra", [[], ["--workers", "2"]],
+                             ids=["single", "workers"])
+    def test_serve_has_no_cache_option(self, graph_file, extra):
+        """Served queries go straight to the kernel: there is no result
+        cache to size.  Run as a subprocess with a timeout, so a CLI
+        that accepted the option fails here instead of serving."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(
+            Path(__file__).resolve().parent.parent / "src")
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", graph_file,
+             "--port", "0", "--cache-size", "0", *extra],
+            env=env, capture_output=True, timeout=30)
+        assert completed.returncode == 2
+        assert b"unrecognized arguments: --cache-size 0" \
+            in completed.stderr
+
     def test_serve_subprocess_end_to_end(self, graph_file, tmp_path,
                                          capsys):
         """``repro serve`` + ``repro query --remote`` over a real pipe."""
